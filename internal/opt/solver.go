@@ -7,9 +7,11 @@ import (
 
 // Constraint is a concave inequality constraint g(x) ≥ 0 over allocations.
 // Eval returns the constraint value and its gradient with respect to the
-// allocation entries. SI and EF constraints on log-transformed Cobb-Douglas
-// utilities are concave, so penalized projected gradient ascent remains a
-// convex method.
+// allocation entries. The gradient may be a buffer the constraint reuses:
+// it is valid only until the next call to Eval, and a Constraint must not
+// be evaluated from two goroutines at once. SI and EF constraints on
+// log-transformed Cobb-Douglas utilities are concave, so penalized
+// projected gradient ascent remains a convex method.
 type Constraint struct {
 	Name string
 	Eval func(x Alloc) (val float64, grad Alloc)
