@@ -76,7 +76,7 @@ func AuditWeightedSnapshot(agents []core.Agent, capacity []float64, x opt.Alloc,
 		return AuditSnapshot(agents, capacity, x, maxUlps)
 	}
 	if len(agents) == 0 {
-		return SnapshotWeightedEq13Differential(agents, capacity, x, budgets, maxUlps)
+		return eq13Differential(agents, capacity, x, budgets, maxUlps)
 	}
 	ec := Economy{Agents: agents, Cap: capacity}
 	var out []string
@@ -102,45 +102,7 @@ func AuditWeightedSnapshot(agents []core.Agent, capacity []float64, x opt.Alloc,
 			out = append(out, "weighted-ef: "+v.String())
 		}
 	}
-	return append(out, SnapshotWeightedEq13Differential(agents, capacity, x, budgets, maxUlps)...)
-}
-
-// SnapshotWeightedEq13Differential is SnapshotEq13Differential with the
-// budget vector threaded through to the from-scratch reference
-// (core.AllocateBudgeted).
-func SnapshotWeightedEq13Differential(agents []core.Agent, capacity []float64, x opt.Alloc, budgets []float64, maxUlps int64) []string {
-	if maxUlps <= 0 {
-		maxUlps = DefaultSnapshotUlps
-	}
-	if len(agents) == 0 {
-		if len(x) != 0 {
-			return []string{fmt.Sprintf("weighted-eq13-differential: %d rows for empty agent set", len(x))}
-		}
-		return nil
-	}
-	ref, err := core.AllocateBudgeted(agents, budgets, capacity)
-	if err != nil {
-		return []string{"weighted-eq13-differential: reference allocation error: " + err.Error()}
-	}
-	if len(x) != len(agents) {
-		return []string{fmt.Sprintf("weighted-eq13-differential: allocation has %d rows for %d agents", len(x), len(agents))}
-	}
-	var out []string
-	for i := range agents {
-		if len(x[i]) != len(capacity) {
-			out = append(out, fmt.Sprintf("weighted-eq13-differential: agent %d row has %d resources, want %d",
-				i, len(x[i]), len(capacity)))
-			continue
-		}
-		for r := range capacity {
-			if d := core.UlpDiff(x[i][r], ref.X[i][r]); d > maxUlps {
-				out = append(out, fmt.Sprintf(
-					"weighted-eq13-differential: agent %d (%s) resource %d: published %v vs from-scratch %v (%d ulps apart)",
-					i, agents[i].Name, r, x[i][r], ref.X[i][r], d))
-			}
-		}
-	}
-	return out
+	return append(out, eq13Differential(agents, capacity, x, budgets, maxUlps)...)
 }
 
 // SnapshotEq13Differential checks a published row matrix against a
@@ -149,34 +111,46 @@ func SnapshotWeightedEq13Differential(agents []core.Agent, capacity []float64, x
 // online counterpart of IncrementalEq13 — it catches incremental-sum
 // drift that survived the engine's own resummation discipline.
 func SnapshotEq13Differential(agents []core.Agent, capacity []float64, x opt.Alloc, maxUlps int64) []string {
+	return eq13Differential(agents, capacity, x, nil, maxUlps)
+}
+
+// eq13Differential is the snapshot differential against the weighted
+// Equation 13 the budgets imply (core.AllocateBudgeted; nil budgets mean
+// unit budgets). Findings are prefixed "eq13-differential" at unit
+// budgets and "weighted-eq13-differential" otherwise.
+func eq13Differential(agents []core.Agent, capacity []float64, x opt.Alloc, budgets []float64, maxUlps int64) []string {
+	name := "eq13-differential"
+	if budgets != nil {
+		name = "weighted-eq13-differential"
+	}
 	if maxUlps <= 0 {
 		maxUlps = DefaultSnapshotUlps
 	}
 	if len(agents) == 0 {
 		if len(x) != 0 {
-			return []string{fmt.Sprintf("eq13-differential: %d rows for empty agent set", len(x))}
+			return []string{fmt.Sprintf("%s: %d rows for empty agent set", name, len(x))}
 		}
 		return nil
 	}
-	ref, err := core.Allocate(agents, capacity)
+	ref, err := core.AllocateBudgeted(agents, budgets, capacity)
 	if err != nil {
-		return []string{"eq13-differential: reference allocation error: " + err.Error()}
+		return []string{name + ": reference allocation error: " + err.Error()}
 	}
 	if len(x) != len(agents) {
-		return []string{fmt.Sprintf("eq13-differential: allocation has %d rows for %d agents", len(x), len(agents))}
+		return []string{fmt.Sprintf("%s: allocation has %d rows for %d agents", name, len(x), len(agents))}
 	}
 	var out []string
 	for i := range agents {
 		if len(x[i]) != len(capacity) {
-			out = append(out, fmt.Sprintf("eq13-differential: agent %d row has %d resources, want %d",
-				i, len(x[i]), len(capacity)))
+			out = append(out, fmt.Sprintf("%s: agent %d row has %d resources, want %d",
+				name, i, len(x[i]), len(capacity)))
 			continue
 		}
 		for r := range capacity {
 			if d := core.UlpDiff(x[i][r], ref.X[i][r]); d > maxUlps {
 				out = append(out, fmt.Sprintf(
-					"eq13-differential: agent %d (%s) resource %d: published %v vs from-scratch %v (%d ulps apart)",
-					i, agents[i].Name, r, x[i][r], ref.X[i][r], d))
+					"%s: agent %d (%s) resource %d: published %v vs from-scratch %v (%d ulps apart)",
+					name, i, agents[i].Name, r, x[i][r], ref.X[i][r], d))
 			}
 		}
 	}

@@ -23,88 +23,16 @@ import (
 // (b_i/Σ_j b_j)·C. A nil budgets slice means unit budgets, which reduces to
 // the classic equal-split SI.
 func WeightedSharingIncentives(utils []cobb.Utility, cap []float64, x opt.Alloc, budgets []float64, tol Tolerance) (Result, error) {
-	if budgets == nil {
-		return SharingIncentives(utils, cap, x, tol)
-	}
-	if err := validate(utils, cap, x); err != nil {
-		return Result{}, err
-	}
-	if len(budgets) != len(utils) {
-		return Result{}, fmt.Errorf("%w: %d budgets for %d agents", ErrBadInput, len(budgets), len(utils))
-	}
-	var bsum float64
-	for i, b := range budgets {
-		if b <= 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-			return Result{}, fmt.Errorf("%w: agent %d budget = %v", ErrBadInput, i, b)
-		}
-		bsum += b
-	}
-	res := Result{Satisfied: true}
-	ent := make([]float64, len(cap))
-	for i, u := range utils {
-		frac := budgets[i] / bsum
-		for r, c := range cap {
-			ent[r] = frac * c
-		}
-		own := u.Eval(x[i])
-		baseline := u.Eval(ent)
-		if own < baseline*(1-tol.Rel) {
-			res.Satisfied = false
-			res.Violations = append(res.Violations, Violation{
-				Property: "SI", Agent: i, Other: -1, Margin: baseline/math.Max(own, 1e-300) - 1,
-			})
-		}
-	}
-	recordCheck("WSI", res.Satisfied)
-	return res, nil
+	return sharingIncentives(utils, cap, x, budgets, len(utils), tol)
 }
 
 // WeightedEnvyFreeness audits budget-adjusted envy: agent i envies agent j
 // only if it prefers j's bundle scaled by the income ratio b_i/b_j to its
-// own. At unit budgets this is classic envy-freeness. (Without the scaling,
-// a tenant the ledger has tilted down would trivially "envy" a credited
-// one — that tilt is the mechanism's point, not a violation.)
+// own. At unit budgets (nil) this is classic envy-freeness. (Without the
+// scaling, a tenant the ledger has tilted down would trivially "envy" a
+// credited one — that tilt is the mechanism's point, not a violation.)
 func WeightedEnvyFreeness(utils []cobb.Utility, x opt.Alloc, budgets []float64, tol Tolerance) (Result, error) {
-	if budgets == nil {
-		return EnvyFreeness(utils, x, tol)
-	}
-	if err := validate(utils, nil, x); err != nil {
-		return Result{}, err
-	}
-	if len(budgets) != len(utils) {
-		return Result{}, fmt.Errorf("%w: %d budgets for %d agents", ErrBadInput, len(budgets), len(utils))
-	}
-	for i, b := range budgets {
-		if b <= 0 || math.IsNaN(b) || math.IsInf(b, 0) {
-			return Result{}, fmt.Errorf("%w: agent %d budget = %v", ErrBadInput, i, b)
-		}
-	}
-	res := Result{Satisfied: true}
-	var scaled []float64
-	for i, u := range utils {
-		own := u.Eval(x[i])
-		for j := range utils {
-			if i == j {
-				continue
-			}
-			if scaled == nil {
-				scaled = make([]float64, len(x[j]))
-			}
-			ratio := budgets[i] / budgets[j]
-			for r, v := range x[j] {
-				scaled[r] = ratio * v
-			}
-			other := u.Eval(scaled)
-			if other > own*(1+tol.Rel) && other > own+1e-300 {
-				res.Satisfied = false
-				res.Violations = append(res.Violations, Violation{
-					Property: "EF", Agent: i, Other: j, Margin: other/math.Max(own, 1e-300) - 1,
-				})
-			}
-		}
-	}
-	recordCheck("WEF", res.Satisfied)
-	return res, nil
+	return envyFreeness(utils, x, budgets, tol)
 }
 
 // LongRunConfig tunes the multi-round credit-fairness oracles. Zero fields

@@ -104,6 +104,9 @@ type Result struct {
 	Violations []Violation
 }
 
+// validate checks the shapes every audit relies on: one row per agent,
+// valid utilities, and one common resource count — len(cap) when a
+// capacity vector is given, else the first agent's.
 func validate(utils []cobb.Utility, cap []float64, x opt.Alloc) error {
 	if len(utils) == 0 {
 		return fmt.Errorf("%w: no agents", ErrBadInput)
@@ -118,6 +121,9 @@ func validate(utils []cobb.Utility, cap []float64, x opt.Alloc) error {
 		if cap != nil && u.NumResources() != len(cap) {
 			return fmt.Errorf("%w: agent %d has %d resources, system has %d", ErrBadInput, i, u.NumResources(), len(cap))
 		}
+		if u.NumResources() != utils[0].NumResources() {
+			return fmt.Errorf("%w: agent %d has %d resources, agent 0 has %d", ErrBadInput, i, u.NumResources(), utils[0].NumResources())
+		}
 		if len(x[i]) != u.NumResources() {
 			return fmt.Errorf("%w: allocation row %d has %d resources, agent has %d", ErrBadInput, i, len(x[i]), u.NumResources())
 		}
@@ -125,46 +131,103 @@ func validate(utils []cobb.Utility, cap []float64, x opt.Alloc) error {
 	return nil
 }
 
-// SharingIncentives audits Equation 3: every agent weakly prefers its bundle
-// to the equal split C/N.
-func SharingIncentives(utils []cobb.Utility, cap []float64, x opt.Alloc, tol Tolerance) (Result, error) {
+// income validates an audit's baseline parameters for n agents and
+// returns the income total its baselines divide: Σb when budgets are
+// given, else totalN, the agent count the equal split divides among
+// (the whole economy's, not the sample's, for a sampled audit). Nil
+// budgets mean unit budgets, as in core.AllocateBudgeted.
+func income(budgets []float64, totalN, n int) (float64, error) {
+	if budgets == nil {
+		if totalN < n {
+			return 0, fmt.Errorf("%w: total agent count %d below sample size %d", ErrBadInput, totalN, n)
+		}
+		return float64(totalN), nil
+	}
+	if len(budgets) != n {
+		return 0, fmt.Errorf("%w: %d budgets for %d agents", ErrBadInput, len(budgets), n)
+	}
+	var bsum float64
+	for i, b := range budgets {
+		if b <= 0 || math.IsNaN(b) || math.IsInf(b, 0) {
+			return 0, fmt.Errorf("%w: agent %d budget = %v", ErrBadInput, i, b)
+		}
+		bsum += b
+	}
+	return bsum, nil
+}
+
+// sharingIncentives is the one SI kernel (Equation 3 and its weighted
+// form): every agent must weakly prefer its bundle to its baseline. At
+// unit budgets (nil) the baseline is the equal split c/totalN; with
+// budgets it is agent i's entitlement (b_i/Σb)·c, the share the
+// weighted CEEI guarantees. Audits count as property "SI" or "WSI".
+func sharingIncentives(utils []cobb.Utility, cap []float64, x opt.Alloc, budgets []float64, totalN int, tol Tolerance) (Result, error) {
 	if err := validate(utils, cap, x); err != nil {
 		return Result{}, err
 	}
-	n := len(utils)
-	equal := make([]float64, len(cap))
-	for r, c := range cap {
-		equal[r] = c / float64(n)
+	total, err := income(budgets, totalN, len(utils))
+	if err != nil {
+		return Result{}, err
+	}
+	base := make([]float64, len(cap))
+	if budgets == nil {
+		for r, c := range cap {
+			base[r] = c / total
+		}
 	}
 	res := Result{Satisfied: true}
 	for i, u := range utils {
+		if budgets != nil {
+			frac := budgets[i] / total
+			for r, c := range cap {
+				base[r] = frac * c
+			}
+		}
 		own := u.Eval(x[i])
-		split := u.Eval(equal)
-		if own < split*(1-tol.Rel) {
+		baseline := u.Eval(base)
+		if own < baseline*(1-tol.Rel) {
 			res.Satisfied = false
 			res.Violations = append(res.Violations, Violation{
-				Property: "SI", Agent: i, Other: -1, Margin: split/math.Max(own, 1e-300) - 1,
+				Property: "SI", Agent: i, Other: -1, Margin: baseline/math.Max(own, 1e-300) - 1,
 			})
 		}
 	}
-	recordCheck("SI", res.Satisfied)
+	recordCheck(weightedLabel("SI", budgets), res.Satisfied)
 	return res, nil
 }
 
-// EnvyFreeness audits §3.2: no agent strictly prefers another agent's
-// bundle to its own, evaluated with its own utility.
-func EnvyFreeness(utils []cobb.Utility, x opt.Alloc, tol Tolerance) (Result, error) {
+// envyFreeness is the one EF kernel (§3.2 and its weighted form): agent
+// i envies agent j when it prefers j's bundle, scaled by the income
+// ratio b_i/b_j when budgets are given, to its own. At unit budgets
+// (nil) bundles are compared as they are, with no copy. Audits count as
+// property "EF" or "WEF".
+func envyFreeness(utils []cobb.Utility, x opt.Alloc, budgets []float64, tol Tolerance) (Result, error) {
 	if err := validate(utils, nil, x); err != nil {
 		return Result{}, err
 	}
+	if _, err := income(budgets, len(utils), len(utils)); err != nil {
+		return Result{}, err
+	}
 	res := Result{Satisfied: true}
+	var scaled []float64
 	for i, u := range utils {
 		own := u.Eval(x[i])
 		for j := range utils {
 			if i == j {
 				continue
 			}
-			other := u.Eval(x[j])
+			bundle := x[j]
+			if budgets != nil {
+				if scaled == nil {
+					scaled = make([]float64, len(x[j]))
+				}
+				ratio := budgets[i] / budgets[j]
+				for r, v := range x[j] {
+					scaled[r] = ratio * v
+				}
+				bundle = scaled
+			}
+			other := u.Eval(bundle)
 			if other > own*(1+tol.Rel) && other > own+1e-300 {
 				res.Satisfied = false
 				res.Violations = append(res.Violations, Violation{
@@ -173,31 +236,61 @@ func EnvyFreeness(utils []cobb.Utility, x opt.Alloc, tol Tolerance) (Result, err
 			}
 		}
 	}
-	recordCheck("EF", res.Satisfied)
+	recordCheck(weightedLabel("EF", budgets), res.Satisfied)
 	return res, nil
+}
+
+// weightedLabel is the ref_fair_checks_total property label: "SI"/"EF"
+// at unit budgets, "WSI"/"WEF" when budgets are given.
+func weightedLabel(property string, budgets []float64) string {
+	if budgets != nil {
+		return "W" + property
+	}
+	return property
+}
+
+// SharingIncentives audits Equation 3: every agent weakly prefers its bundle
+// to the equal split C/N.
+func SharingIncentives(utils []cobb.Utility, cap []float64, x opt.Alloc, tol Tolerance) (Result, error) {
+	return sharingIncentives(utils, cap, x, nil, len(utils), tol)
+}
+
+// EnvyFreeness audits §3.2: no agent strictly prefers another agent's
+// bundle to its own, evaluated with its own utility.
+func EnvyFreeness(utils []cobb.Utility, x opt.Alloc, tol Tolerance) (Result, error) {
+	return envyFreeness(utils, x, nil, tol)
 }
 
 // ParetoEfficiency audits §3.3 for interior allocations: capacity must be
 // exhausted and all agents' marginal rates of substitution must agree for
-// every resource pair (the tangency condition, Equation 10). Agents with a
-// zero elasticity for some resource are excluded from that pair's MRS
-// comparison — their indifference curves are flat in that direction and the
-// tangency condition does not bind them.
+// every resource pair (the tangency condition, Equation 10).
 func ParetoEfficiency(utils []cobb.Utility, cap []float64, x opt.Alloc, tol Tolerance) (Result, error) {
+	return paretoEfficiency(utils, cap, x, tol)
+}
+
+// paretoEfficiency is the one PE kernel: the capacity-exhaustion check
+// when a capacity vector is given (nil skips it, as Tangency does), then
+// the one MRS-tangency loop. Agents with a zero elasticity for either
+// resource of a pair, or a zero bundle entry, are excluded from that
+// pair's comparison: their indifference curves are flat in that
+// direction and the tangency condition does not bind them.
+func paretoEfficiency(utils []cobb.Utility, cap []float64, x opt.Alloc, tol Tolerance) (Result, error) {
 	if err := validate(utils, cap, x); err != nil {
 		return Result{}, err
 	}
 	res := Result{Satisfied: true}
-	// Capacity exhaustion: strictly monotone utilities mean slack capacity
-	// is always a Pareto improvement waiting to happen.
-	tot := x.ResourceTotals()
-	for r, c := range cap {
-		if tot[r] < c*(1-EpsCapacityRel) {
-			res.Satisfied = false
-			res.Violations = append(res.Violations, Violation{Property: "PE", Agent: -1, Other: r, Margin: 1 - tot[r]/c})
+	if cap != nil {
+		// Capacity exhaustion: strictly monotone utilities mean slack
+		// capacity is always a Pareto improvement waiting to happen.
+		tot := x.ResourceTotals()
+		for r, c := range cap {
+			if tot[r] < c*(1-EpsCapacityRel) {
+				res.Satisfied = false
+				res.Violations = append(res.Violations, Violation{Property: "PE", Agent: -1, Other: r, Margin: 1 - tot[r]/c})
+			}
 		}
 	}
-	rN := len(cap)
+	rN := utils[0].NumResources()
 	for r := 0; r < rN; r++ {
 		for s := r + 1; s < rN; s++ {
 			ref := math.NaN()

@@ -1,9 +1,6 @@
 package fair
 
 import (
-	"fmt"
-	"math"
-
 	"ref/internal/cobb"
 	"ref/internal/opt"
 )
@@ -24,39 +21,22 @@ import (
 // is the full economy's agent count (not the sample size — the outside
 // option does not shrink because we audit fewer agents). Violation.Agent
 // indexes into the sample.
+//
+// Deprecated: the serve layer audits sampled SI from cached log margins;
+// this form remains for the benchmark harness.
 func SampledSharingIncentives(utils []cobb.Utility, cap []float64, x opt.Alloc, totalN int, tol Tolerance) (Result, error) {
-	if err := validate(utils, cap, x); err != nil {
-		return Result{}, err
-	}
-	if totalN < len(utils) {
-		return Result{}, fmt.Errorf("%w: total agent count %d below sample size %d", ErrBadInput, totalN, len(utils))
-	}
-	equal := make([]float64, len(cap))
-	for r, c := range cap {
-		equal[r] = c / float64(totalN)
-	}
-	res := Result{Satisfied: true}
-	for i, u := range utils {
-		own := u.Eval(x[i])
-		split := u.Eval(equal)
-		if own < split*(1-tol.Rel) {
-			res.Satisfied = false
-			res.Violations = append(res.Violations, Violation{
-				Property: "SI", Agent: i, Other: -1, Margin: split/math.Max(own, 1e-300) - 1,
-			})
-		}
-	}
-	recordCheck("SI", res.Satisfied)
-	return res, nil
+	return sharingIncentives(utils, cap, x, nil, totalN, tol)
 }
 
 // SampledEnvyFreeness audits EF over all ordered pairs within the sample
-// — O(K²) instead of O(N²). It is exactly EnvyFreeness restricted to the
-// sampled sub-economy, exported under this name so call sites state what
-// guarantee they are getting: envy between a sampled and an unsampled
-// agent is not checked.
+// — O(K²) instead of O(N²): EnvyFreeness restricted to the sampled
+// sub-economy, so envy between a sampled and an unsampled agent is not
+// checked.
+//
+// Deprecated: use EnvyFreeness or WeightedEnvyFreeness on the sample;
+// this alias remains for the benchmark harness.
 func SampledEnvyFreeness(utils []cobb.Utility, x opt.Alloc, tol Tolerance) (Result, error) {
-	return EnvyFreeness(utils, x, tol)
+	return envyFreeness(utils, x, nil, tol)
 }
 
 // Tangency audits only the MRS-agreement half of Pareto efficiency
@@ -65,39 +45,5 @@ func SampledEnvyFreeness(utils []cobb.Utility, x opt.Alloc, tol Tolerance) (Resu
 // maintained weight sums, because a sample's rows never sum to the full
 // capacity.
 func Tangency(utils []cobb.Utility, x opt.Alloc, tol Tolerance) (Result, error) {
-	if err := validate(utils, nil, x); err != nil {
-		return Result{}, err
-	}
-	res := Result{Satisfied: true}
-	rN := 0
-	if len(utils) > 0 {
-		rN = utils[0].NumResources()
-	}
-	for r := 0; r < rN; r++ {
-		for s := r + 1; s < rN; s++ {
-			ref := math.NaN()
-			refAgent := -1
-			for i, u := range utils {
-				if u.Alpha[r] == 0 || u.Alpha[s] == 0 {
-					continue
-				}
-				if x[i][r] <= 0 || x[i][s] <= 0 {
-					continue
-				}
-				m := u.MRS(r, s, x[i])
-				if math.IsNaN(ref) {
-					ref, refAgent = m, i
-					continue
-				}
-				if math.Abs(m-ref) > tol.MRS*math.Max(math.Abs(ref), 1) {
-					res.Satisfied = false
-					res.Violations = append(res.Violations, Violation{
-						Property: "PE", Agent: i, Other: refAgent, Margin: math.Abs(m-ref) / math.Max(math.Abs(ref), 1e-300),
-					})
-				}
-			}
-		}
-	}
-	recordCheck("PE", res.Satisfied)
-	return res, nil
+	return paretoEfficiency(utils, nil, x, tol)
 }

@@ -3,8 +3,12 @@ package serve
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"ref/internal/hier"
 )
 
 // auditRecorder collects the names each sampled audit visited, one set
@@ -120,48 +124,98 @@ func corruptWeight(t *testing.T, s *Server, name string, factor float64) {
 // sampled fast path owes the exact audit: on a deliberately corrupted
 // economy both must fail, and on the same economy uncorrupted both must
 // pass — sampling may not launder a fairness violation into a green
-// verdict.
+// verdict. It runs on a flat server and on a two-leaf queue tree (where
+// both audits group agents by leaf and name the queue in every
+// agent-level violation), each with the credit ledger off and on (where
+// both audit the budget-weighted properties).
 func TestSampledAuditMatchesExactOnCorruption(t *testing.T) {
 	const n = 8
-	verdict := func(sampled, corrupt bool) *Fairness {
-		cfg := testConfig()
-		if sampled {
-			cfg.AuditExactBelow = -1
-			cfg.AuditSample = n // full-coverage sample: parity, not luck
-		} else {
-			cfg.AuditExactBelow = 1 << 20
-		}
-		s, ts := newTestServer(t, cfg)
-		for i := 0; i < n; i++ {
-			join(t, ts.URL, fmt.Sprintf("t%d", i), 1, 1)
-		}
-		if corrupt {
-			corruptWeight(t, s, "t3", 10)
-		}
-		// Trigger the epoch that publishes (and audits) the corrupted
-		// table through an unrelated agent's re-declaration.
-		patch(t, ts.URL, "t0", 1, 2)
-		f := s.Current().Fairness
-		if f == nil {
-			t.Fatal("no fairness verdict on snapshot")
-		}
-		if f.Sampled != sampled {
-			t.Fatalf("Sampled=%v, want %v", f.Sampled, sampled)
-		}
-		return f
-	}
+	for _, tc := range []struct {
+		name          string
+		tree, credits bool
+	}{
+		{"flat", false, false},
+		{"flat credits", false, true},
+		{"tree", true, false},
+		{"tree credits", true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			verdict := func(sampled, corrupt bool) *Fairness {
+				cfg := testConfig()
+				if sampled {
+					cfg.AuditExactBelow = -1
+					cfg.AuditSample = n // full-coverage sample: parity, not luck
+				} else {
+					cfg.AuditExactBelow = 1 << 20
+				}
+				clk := NewFakeClock(time.Unix(0, 0))
+				cfg.Clock = clk
+				cfg.MaxBatch = 1
+				if tc.credits {
+					cfg.CreditHalfLife = time.Minute
+				}
+				s, ts := newTestServer(t, cfg)
+				if tc.tree {
+					postQueue(t, ts.URL, hier.QueueConfig{Name: "a"})
+					postQueue(t, ts.URL, hier.QueueConfig{Name: "b"})
+				}
+				for i := 0; i < n; i++ {
+					// Time passes between joins, so under the ledger the
+					// budgets tilt away from 1.
+					clk.Advance(10 * time.Second)
+					name, elast := fmt.Sprintf("t%d", i), []float64{1, 1 + float64(i)/4}
+					if tc.tree {
+						joinQ(t, ts.URL, name, []string{"a", "b"}[i%2], elast...)
+					} else {
+						join(t, ts.URL, name, elast...)
+					}
+				}
+				if corrupt {
+					corruptWeight(t, s, "t3", 10)
+				}
+				// Trigger the epoch that publishes (and audits) the
+				// corrupted table through an unrelated agent's
+				// re-declaration.
+				clk.Advance(10 * time.Second)
+				patch(t, ts.URL, "t0", 1, 2)
+				f := s.Current().Fairness
+				if f == nil {
+					t.Fatal("no fairness verdict on snapshot")
+				}
+				if f.Sampled != sampled {
+					t.Fatalf("Sampled=%v, want %v", f.Sampled, sampled)
+				}
+				if tc.credits && s.Current().Credit == nil {
+					t.Fatal("credit ledger off on a CreditHalfLife server")
+				}
+				return f
+			}
 
-	for _, sampled := range []bool{false, true} {
-		clean := verdict(sampled, false)
-		if !clean.SI || !clean.EF || !clean.PE {
-			t.Errorf("sampled=%v: clean economy failed audit: %+v", sampled, clean)
-		}
-		bad := verdict(sampled, true)
-		if bad.SI && bad.EF && bad.PE {
-			t.Errorf("sampled=%v: corrupted economy passed audit: %+v", sampled, bad)
-		}
-		if len(bad.Violations) == 0 {
-			t.Errorf("sampled=%v: corrupted economy reported no violations", sampled)
-		}
+			for _, corrupt := range []bool{false, true} {
+				exact, sampled := verdict(false, corrupt), verdict(true, corrupt)
+				for _, f := range []*Fairness{exact, sampled} {
+					if pass := f.SI && f.EF && f.PE; pass == corrupt {
+						t.Errorf("corrupt=%v sampled=%v: verdict SI=%v EF=%v PE=%v: %v",
+							corrupt, f.Sampled, f.SI, f.EF, f.PE, f.Violations)
+					}
+					if corrupt && len(f.Violations) == 0 {
+						t.Errorf("sampled=%v: corrupted economy reported no violations", f.Sampled)
+					}
+					for _, v := range f.Violations {
+						named := strings.HasPrefix(v, "queue ") || strings.Contains(v, " (queue ")
+						if named != tc.tree && !strings.HasPrefix(v, "hier-") {
+							t.Errorf("sampled=%v: violation %q names a queue: %v, want %v", f.Sampled, v, named, tc.tree)
+						}
+					}
+				}
+				// EF and tangency run the same internal/fair checks on
+				// the same rows; only SI differs in method (cached log
+				// margins vs utility evaluation).
+				if exact.EF != sampled.EF || exact.PE != sampled.PE {
+					t.Errorf("corrupt=%v: exact EF=%v PE=%v, sampled EF=%v PE=%v",
+						corrupt, exact.EF, exact.PE, sampled.EF, sampled.PE)
+				}
+			}
+		})
 	}
 }

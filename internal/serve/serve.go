@@ -1245,12 +1245,9 @@ func (s *Server) publishBatch(info *batchInfo, touched []string, tm *epochTiming
 	}
 
 	if n > 0 {
-		switch {
-		case al != nil:
-			snap.Fairness = s.auditHier(n, touched)
-		case s.cfg.AuditExactBelow >= 0 && n <= s.cfg.AuditExactBelow:
+		if s.cfg.AuditExactBelow >= 0 && n <= s.cfg.AuditExactBelow {
 			snap.Fairness = s.auditExact(n, sums)
-		default:
+		} else {
 			snap.Fairness = s.auditSampled(n, sums, touched)
 		}
 	}

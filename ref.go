@@ -16,7 +16,7 @@
 //     (NewUtility, FitCobbDouglas, ...);
 //   - the REF mechanism and the mechanism zoo the paper evaluates against
 //     (Allocate, Mechanisms, EqualSlowdown, ...);
-//   - fairness auditing (Audit, SharingIncentives, ...) and Edgeworth-box
+//   - SI/EF/PE auditing (Audit, FairnessReport, Tolerance) and Edgeworth-box
 //     geometry (NewEdgeworthBox);
 //   - the full platform simulator standing in for MARSSx86 + DRAMSim2
 //     (SweepWorkload, Workloads, ...);
