@@ -105,9 +105,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the statistics without flushing contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // AccessResult reports what one access did.
 type AccessResult struct {
 	// Hit is true when the block was present.
@@ -160,6 +157,49 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	}
 	ways[victim] = line{tag: tag, valid: true, dirty: write, lru: c.clock}
 	return res
+}
+
+// Warm fills a never-accessed cache as if Access(a, false) had been called
+// for each a of addrs in order and the statistics then cleared: every set
+// holds its most recently used distinct blocks, clean, each stamped with
+// the position + 1 of its last use, and the clock reads len(addrs). The
+// order of lines within a set may differ from what the Access loop leaves,
+// which nothing observes: lookups match tags, and a victim is the first
+// invalid line or the unique least recent one. Warm scans addrs backwards
+// and stops once every line is filled, so it costs O(min(len(addrs),
+// lines)) rather than an access per address. It panics if the cache has
+// been accessed or warmed before.
+func (c *Cache) Warm(addrs []uint64) {
+	if c.clock != 0 {
+		panic("cache: Warm on a used cache")
+	}
+	ways := c.cfg.Ways
+	setBits := uint(bits.TrailingZeros(uint(c.sets)))
+	// filled[s] counts set s's lines, which occupy its leading ways.
+	filled := make([]int, c.sets)
+	free := len(c.lines)
+	for k := len(addrs) - 1; k >= 0 && free > 0; k-- {
+		set := int((addrs[k] >> c.setShift) & c.setMask)
+		if filled[set] == ways {
+			continue
+		}
+		tag := addrs[k] >> c.setShift >> setBits
+		lines := c.lines[set*ways : set*ways+filled[set]]
+		seen := false
+		for i := range lines {
+			if lines[i].tag == tag {
+				seen = true
+				break
+			}
+		}
+		if seen {
+			continue
+		}
+		c.lines[set*ways+filled[set]] = line{tag: tag, valid: true, lru: uint64(k + 1)}
+		filled[set]++
+		free--
+	}
+	c.clock = uint64(len(addrs))
 }
 
 // Contains reports whether addr's block is resident (no LRU update).

@@ -206,7 +206,7 @@ func (m MaxWelfareFair) Allocate(agents []core.Agent, cap []float64) (opt.Alloc,
 	// log-utility by a positive constant), so the constraints may be
 	// stated over the raw elasticities.
 	raw := optAgentsRaw(agents)
-	cons := append(opt.SIConstraints(raw, cap), opt.EFConstraints(raw, len(cap))...)
+	cons := append(opt.SIConstraints(raw, cap), opt.EFConstraints(raw)...)
 	cfg := warmStartConfig(m.Config, agents, cap)
 	x, _, err := opt.MaximizeNashWelfare(raw, nil, cap, cons, cfg)
 	if err != nil {
@@ -264,7 +264,7 @@ func (m EgalitarianFair) Allocate(agents []core.Agent, cap []float64) (opt.Alloc
 	}
 	raw := optAgentsRaw(agents)
 	offsets := normalizationOffsets(raw, cap)
-	cons := append(opt.SIConstraints(raw, cap), opt.EFConstraints(raw, len(cap))...)
+	cons := append(opt.SIConstraints(raw, cap), opt.EFConstraints(raw)...)
 	cfg := warmStartConfig(m.Config, agents, cap)
 	x, _, err := opt.MaximizeEgalitarian(raw, offsets, cap, cons, cfg)
 	if err != nil {

@@ -101,20 +101,34 @@ type Agent struct {
 	Alpha []float64
 }
 
-// logUtil returns Σ_r α_r log x_r, treating zero-elasticity resources as
-// absent, and -Inf if any needed resource is zero.
-func (ag Agent) logUtil(x []float64) float64 {
+// logUtilFrom returns Σ_r α_r log x_r from a row of logs (logx[r] is
+// log x_r, or -Inf where x_r ≤ 0; see fillLog), treating zero-elasticity
+// resources as absent, and -Inf if any needed resource is zero.
+func logUtilFrom(alpha, logx []float64) float64 {
 	var s float64
-	for r, a := range ag.Alpha {
+	for r, a := range alpha {
 		if a == 0 {
 			continue
 		}
-		if x[r] <= 0 {
-			return math.Inf(-1)
+		if logx[r] == math.Inf(-1) {
+			return logx[r]
 		}
-		s += a * math.Log(x[r])
+		s += a * logx[r]
 	}
 	return s
+}
+
+// fillLog writes log x into logx, with -Inf where x ≤ 0.
+func fillLog(logx, x Alloc) {
+	for i, row := range x {
+		for r, v := range row {
+			if v <= 0 {
+				logx[i][r] = math.Inf(-1)
+			} else {
+				logx[i][r] = math.Log(v)
+			}
+		}
+	}
 }
 
 // Proportional computes the closed-form allocation x_ir = w_ir/Σ_j w_jr · C_r

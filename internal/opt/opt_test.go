@@ -280,7 +280,7 @@ func TestNashWelfareWithSIEFConstraints(t *testing.T) {
 	// The closed-form REF allocation satisfies SI and EF, so the
 	// constrained Nash program must still achieve (at least) the REF
 	// objective value and end feasible.
-	cons := append(SIConstraints(paperAgents, paperCap), EFConstraints(paperAgents, 2)...)
+	cons := append(SIConstraints(paperAgents, paperCap), EFConstraints(paperAgents)...)
 	got, rep, err := MaximizeNashWelfare(paperAgents, nil, paperCap, cons, Config{MaxIters: 40000})
 	if err != nil {
 		t.Fatalf("MaximizeNashWelfare: %v (report %+v)", err, rep)
@@ -288,7 +288,7 @@ func TestNashWelfareWithSIEFConstraints(t *testing.T) {
 	for _, c := range cons {
 		v, _ := c.Eval(got)
 		if v < -1e-4 {
-			t.Errorf("constraint %s violated: %v", c.Name, v)
+			t.Errorf("constraint %s violated: %v", c, v)
 		}
 	}
 	// Compare objective with the REF closed form.
@@ -380,23 +380,23 @@ func TestSIConstraintEvaluation(t *testing.T) {
 	for _, c := range cons {
 		v, g := c.Eval(eq)
 		if math.Abs(v) > 1e-12 {
-			t.Errorf("%s at equal split = %v, want 0", c.Name, v)
+			t.Errorf("%s at equal split = %v, want 0", c, v)
 		}
 		if g == nil {
-			t.Errorf("%s gradient nil", c.Name)
+			t.Errorf("%s gradient nil", c)
 		}
 	}
 	// REF allocation strictly satisfies SI for both agents here.
 	refAlloc, _ := Proportional([][]float64{{0.6, 0.4}, {0.2, 0.8}}, paperCap)
 	for _, c := range cons {
 		if v, _ := c.Eval(refAlloc); v < 0 {
-			t.Errorf("%s at REF allocation = %v, want ≥ 0", c.Name, v)
+			t.Errorf("%s at REF allocation = %v, want ≥ 0", c, v)
 		}
 	}
 }
 
 func TestEFConstraintEvaluation(t *testing.T) {
-	cons := EFConstraints(paperAgents, 2)
+	cons := EFConstraints(paperAgents)
 	if len(cons) != 2 {
 		t.Fatalf("got %d constraints, want 2", len(cons))
 	}
@@ -404,7 +404,7 @@ func TestEFConstraintEvaluation(t *testing.T) {
 	eq := EqualSplit(2, paperCap)
 	for _, c := range cons {
 		if v, _ := c.Eval(eq); math.Abs(v) > 1e-12 {
-			t.Errorf("%s at equal split = %v, want 0", c.Name, v)
+			t.Errorf("%s at equal split = %v, want 0", c, v)
 		}
 	}
 	// An extreme allocation makes agent 1 envy agent 0.
@@ -421,7 +421,7 @@ func TestEFConstraintEvaluation(t *testing.T) {
 }
 
 func TestEFConstraintGradientSigns(t *testing.T) {
-	cons := EFConstraints(paperAgents, 2)
+	cons := EFConstraints(paperAgents)
 	x := Alloc{{12, 6}, {12, 6}}
 	v, g := cons[0].Eval(x) // EF[0,1]
 	if math.Abs(v) > 1e-12 {

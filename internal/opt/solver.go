@@ -5,18 +5,6 @@ import (
 	"math"
 )
 
-// Constraint is a concave inequality constraint g(x) ≥ 0 over allocations.
-// Eval returns the constraint value and its gradient with respect to the
-// allocation entries. The gradient may be a buffer the constraint reuses:
-// it is valid only until the next call to Eval, and a Constraint must not
-// be evaluated from two goroutines at once. SI and EF constraints on
-// log-transformed Cobb-Douglas utilities are concave, so penalized
-// projected gradient ascent remains a convex method.
-type Constraint struct {
-	Name string
-	Eval func(x Alloc) (val float64, grad Alloc)
-}
-
 // Config tunes the iterative solvers.
 type Config struct {
 	// MaxIters bounds the projected-gradient iterations.
@@ -105,41 +93,19 @@ func validateProblem(agents []Agent, cap []float64, cfg *Config) error {
 	return nil
 }
 
-// sharesToAlloc converts share matrix s (columns on the simplex) to an
-// allocation against cap.
-func sharesToAlloc(s Alloc, cap []float64) Alloc {
-	x := NewAlloc(len(s), len(cap))
-	for i := range s {
-		for r := range cap {
-			x[i][r] = s[i][r] * cap[r]
-		}
-	}
-	return x
-}
-
-// penaltyTerm accumulates ρ·Σ min(0, g_k) and its gradient (wrt shares)
-// into grad, returning the penalty value and max violation.
-func penaltyTerm(x Alloc, cap []float64, cons []Constraint, rho float64, grad Alloc) (pen, maxViol float64) {
+// penalize adds to grad the gradient (with respect to shares) of the
+// exact penalty ρ·Σ min(0, g_k) at the allocation x, whose logs are logx.
+// Each violated constraint adds to its own rows only, in constraint order.
+// (Adding +0 to the other entries as well could only turn a −0 into +0,
+// which the share update s += step·grad cannot see.)
+func penalize(x, logx Alloc, cap []float64, cons []Constraint, rho float64, grad Alloc) {
 	for _, c := range cons {
-		v, g := c.Eval(x)
-		if viol := -v; viol > maxViol {
-			maxViol = viol
-		}
-		if v >= 0 {
+		if c.value(logx) >= 0 {
 			continue
 		}
-		pen += rho * v
-		if g == nil {
-			continue
-		}
-		for i := range grad {
-			for r := range grad[i] {
-				// Chain rule x_ir = s_ir · C_r.
-				grad[i][r] += rho * g[i][r] * cap[r]
-			}
-		}
+		// Chain rule x_ir = s_ir · C_r.
+		c.addGrad(grad, x, rho, cap)
 	}
-	return pen, maxViol
 }
 
 // clampGrad limits the infinity norm of the gradient so that a single agent
@@ -187,14 +153,14 @@ func MaximizeNashWelfare(agents []Agent, weights []float64, cap []float64, cons 
 	if len(weights) != n {
 		return nil, nil, fmt.Errorf("%w: %d weights for %d agents", ErrBadProblem, len(weights), n)
 	}
-	objective := func(x Alloc) float64 {
+	objective := func(logx Alloc) float64 {
 		var s float64
 		for i, ag := range agents {
-			s += weights[i] * ag.logUtil(x[i])
+			s += weights[i] * logUtilFrom(ag.Alpha, logx[i])
 		}
 		return s
 	}
-	gradFill := func(sh Alloc, grad Alloc) {
+	gradFill := func(_ int, sh, _, grad Alloc) {
 		for i, ag := range agents {
 			for j := 0; j < r; j++ {
 				if ag.Alpha[j] == 0 {
@@ -229,13 +195,12 @@ func MaximizeEgalitarian(agents []Agent, offsets []float64, cap []float64, cons 
 	}
 	vals := make([]float64, n)
 	softW := make([]float64, n)
-	fill := func(x Alloc) {
+	// minVal fills vals with the offset log-utilities and returns their
+	// minimum.
+	minVal := func(logx Alloc) float64 {
 		for i, ag := range agents {
-			vals[i] = ag.logUtil(x[i]) - offsets[i]
+			vals[i] = logUtilFrom(ag.Alpha, logx[i]) - offsets[i]
 		}
-	}
-	objective := func(x Alloc) float64 {
-		fill(x)
 		m := vals[0]
 		for _, v := range vals[1:] {
 			if v < m {
@@ -244,19 +209,11 @@ func MaximizeEgalitarian(agents []Agent, offsets []float64, cap []float64, cons 
 		}
 		return m
 	}
-	iter := 0
-	gradFill := func(sh Alloc, grad Alloc) {
+	gradFill := func(t int, sh, logx, grad Alloc) {
 		// Anneal β from soft to sharp across the run.
-		frac := float64(iter) / float64(cfg.MaxIters)
+		frac := float64(t) / float64(cfg.MaxIters)
 		beta := 20 * math.Pow(500, frac)
-		x := sharesToAlloc(sh, cap)
-		fill(x)
-		m := vals[0]
-		for _, v := range vals[1:] {
-			if v < m {
-				m = v
-			}
-		}
+		m := minVal(logx)
 		var z float64
 		for i, v := range vals {
 			softW[i] = math.Exp(-beta * (v - m))
@@ -272,18 +229,19 @@ func MaximizeEgalitarian(agents []Agent, offsets []float64, cap []float64, cons 
 				grad[i][j] = w * ag.Alpha[j] / sh[i][j]
 			}
 		}
-		iter++
 	}
-	return runAscent(agents, cap, cons, cfg, objective, gradFill)
+	return runAscent(agents, cap, cons, cfg, minVal, gradFill)
 }
 
 // runAscent is the shared projected-gradient loop. objective evaluates the
-// smooth part at an allocation; gradFill writes the smooth part's gradient
-// with respect to shares.
+// smooth part from an allocation's log table; gradFill writes the smooth
+// part's gradient with respect to shares at iteration t. All scratch is
+// allocated once, before the first iteration.
 func runAscent(agents []Agent, cap []float64, cons []Constraint, cfg Config,
-	objective func(Alloc) float64, gradFill func(sh, grad Alloc)) (Alloc, *Report, error) {
+	objective func(logx Alloc) float64, gradFill func(t int, sh, logx, grad Alloc)) (Alloc, *Report, error) {
 
 	n, r := len(agents), len(cap)
+	var proj simplexScratch
 	shares := NewAlloc(n, r)
 	if cfg.Init != nil && len(cfg.Init) == n && len(cfg.Init[0]) == r {
 		for i := 0; i < n; i++ {
@@ -292,7 +250,7 @@ func runAscent(agents []Agent, cap []float64, cons []Constraint, cfg Config,
 			}
 		}
 		for j := 0; j < r; j++ {
-			normalizeColumn(shares, j, cfg.Floor)
+			proj.normalizeColumn(shares, j, cfg.Floor)
 		}
 	} else {
 		for i := 0; i < n; i++ {
@@ -303,14 +261,22 @@ func runAscent(agents []Agent, cap []float64, cons []Constraint, cfg Config,
 	}
 	grad := NewAlloc(n, r)
 	best := shares.Clone()
-	bestObj := math.Inf(-1)
-	bestViol := math.Inf(1)
+	// x = s·C is the allocation of the current shares; objectives,
+	// constraints and the egalitarian gradient all read its log table.
+	x, logx := NewAlloc(n, r), NewAlloc(n, r)
+	setX := func(sh Alloc) {
+		for i := range sh {
+			for j, c := range cap {
+				x[i][j] = sh[i][j] * c
+			}
+		}
+		fillLog(logx, x)
+	}
 	evalAt := func(sh Alloc) (obj, viol float64) {
-		x := sharesToAlloc(sh, cap)
-		obj = objective(x)
+		setX(sh)
+		obj = objective(logx)
 		for _, c := range cons {
-			v, _ := c.Eval(x)
-			if -v > viol {
+			if v := c.value(logx); -v > viol {
 				viol = -v
 			}
 		}
@@ -319,17 +285,16 @@ func runAscent(agents []Agent, cap []float64, cons []Constraint, cfg Config,
 	// Record the starting point before any step: a feasible warm start
 	// (e.g. the REF closed form) guarantees the returned allocation is
 	// never worse than it.
-	bestObj, bestViol = evalAt(shares)
-	copyAlloc(best, shares)
+	bestObj, bestViol := evalAt(shares)
 	iters := 0
 	for t := 0; t < cfg.MaxIters; t++ {
 		iters = t + 1
-		gradFill(shares, grad)
-		x := sharesToAlloc(shares, cap)
+		setX(shares)
+		gradFill(t, shares, logx, grad)
 		// Anneal the penalty weight upward so late iterations prioritize
 		// feasibility over objective gain.
 		rho := cfg.Penalty * (1 + 9*float64(t)/float64(cfg.MaxIters))
-		_, _ = penaltyTerm(x, cap, cons, rho, grad)
+		penalize(x, logx, cap, cons, rho, grad)
 		clampGrad(grad, 1e4)
 		step := cfg.Step / math.Sqrt(float64(t+1))
 		for i := 0; i < n; i++ {
@@ -338,7 +303,7 @@ func runAscent(agents []Agent, cap []float64, cons []Constraint, cfg Config,
 			}
 		}
 		for j := 0; j < r; j++ {
-			normalizeColumn(shares, j, cfg.Floor)
+			proj.normalizeColumn(shares, j, cfg.Floor)
 		}
 		// Periodically consider the iterate for "best so far": feasible
 		// iterates ranked by objective; infeasible ones only accepted
@@ -358,7 +323,7 @@ func runAscent(agents []Agent, cap []float64, cons []Constraint, cfg Config,
 	}
 	obj, viol := evalAt(best)
 	rep := &Report{Iters: iters, Objective: obj, MaxViolation: viol, Converged: viol <= cfg.Tol}
-	out := sharesToAlloc(best, cap)
+	out := x.Clone()
 	if !rep.Converged {
 		return out, rep, fmt.Errorf("%w: max constraint violation %.3g after %d iterations", ErrNoConvergence, viol, iters)
 	}

@@ -285,6 +285,27 @@ func TestHealthzWithoutObservability(t *testing.T) {
 	}
 }
 
+// waitEpochRoots polls tr until it holds n ref_serve_epoch root spans.
+func waitEpochRoots(t *testing.T, tr *obs.Tracer, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		roots := 0
+		for _, e := range tr.Snapshot() {
+			if e.Name == "ref_serve_epoch" {
+				roots++
+			}
+		}
+		if roots >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("tracer holds %d epoch root spans after 5s, want >= %d", roots, n)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
 func TestEpochTraceSpans(t *testing.T) {
 	tr := obs.NewTracer(256)
 	obs.InstallTracer(tr)
@@ -293,6 +314,9 @@ func TestEpochTraceSpans(t *testing.T) {
 	_, ts := newTestServer(t, testConfig())
 	join(t, ts.URL, "user1", 0.6, 0.4)
 	join(t, ts.URL, "user2", 0.2, 0.8)
+	// runBatch sends an epoch's replies before it emits the epoch's trace
+	// (stages first, root last), so wait for the second root to land.
+	waitEpochRoots(t, tr, 2)
 
 	// Validate via the Chrome export — the exact payload /debug/trace
 	// serves — checking epoch→stage parent links.

@@ -143,16 +143,12 @@ func Run(w trace.Config, p Platform, nAccesses int) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, fmt.Errorf("sim: %w", err)
 	}
-	// Warm the hierarchy with one coldest-first pass over the working set
-	// so measurement starts from the reuse distribution's steady state
-	// rather than an all-compulsory-miss transient, then clear the
-	// warmup's statistics.
-	for _, addr := range gen.WarmupAddrs() {
-		l1.Access(addr, false)
-		llc.Access(addr, false)
-	}
-	l1.ResetStats()
-	llc.ResetStats()
+	// Warm the hierarchy as one coldest-first pass over the working set
+	// would, so measurement starts from the reuse distribution's steady
+	// state rather than an all-compulsory-miss transient.
+	warm := gen.WarmupAddrs()
+	l1.Warm(warm)
+	llc.Warm(warm)
 	res := core.Run(genSource{gen}, nAccesses)
 	recordRunMetrics(nAccesses, l1, llc, mc)
 	return RunResult{

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"ref/internal/cache"
@@ -325,5 +326,38 @@ func TestUnmanagedSharingHurtsCacheFriendlyAgent(t *testing.T) {
 	// The victim must lose a meaningful fraction, not round-off.
 	if uIPC > mIPC*0.95 {
 		t.Errorf("interference too small to matter: %v vs %v", uIPC, mIPC)
+	}
+}
+
+// TestUnmanagedCoRunPinned pins a three-agent unmanaged co-run bit for
+// bit, as computed when each agent's warm-up was a per-address Access
+// loop over its private L1 and the shared LLC. The closed-form warm-up
+// must leave the shared LLC exactly as that agent-by-agent sequence did.
+func TestUnmanagedCoRunPinned(t *testing.T) {
+	var ws []trace.Config
+	for _, name := range []string{"canneal", "blackscholes", "swaptions"} {
+		w, err := trace.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w.Config)
+	}
+	llc := cache.Config{SizeBytes: 2 << 20, Ways: 8, BlockBytes: 64, HitLatency: 20}
+	res, err := UnmanagedCoRun(ws, llc, 6.4, 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// IPC, L1 miss rate, LLC miss rate, mean memory latency per agent.
+	want := [][4]uint64{
+		{0x4007466e56eecbc8, 0x3fb22d0e56041893, 0x3fdd89d89d89d89e, 0x4058faaaaaaaaaab},
+		{0x400eee5eed2a5717, 0x3f9374bc6a7ef9db, 0x3fdd89d89d89d89e, 0x4058faaaaaaaaaab},
+		{0x400eb653628191f3, 0x3f9735ee402bb0d0, 0x3fdd89d89d89d89e, 0x4058faaaaaaaaaab},
+	}
+	for i, a := range res.Agents {
+		got := [4]uint64{math.Float64bits(a.IPC()), math.Float64bits(a.L1MissRate),
+			math.Float64bits(a.LLCMissRate), math.Float64bits(a.AvgMemLatency)}
+		if got != want[i] {
+			t.Errorf("agent %d: bits %#x, want %#x", i, got, want[i])
+		}
 	}
 }

@@ -49,6 +49,8 @@ func UnmanagedCoRun(workloadCfgs []trace.Config, totalLLC cache.Config, totalBan
 		offset  uint64
 	}
 	agents := make([]*agentState, n)
+	// warm is the agents' offset warm-up streams, concatenated in order.
+	var warm []uint64
 	base := DefaultPlatform(totalLLC.SizeBytes, totalBandwidth)
 	for i, wc := range workloadCfgs {
 		gen, err := trace.NewGenerator(wc)
@@ -81,15 +83,15 @@ func UnmanagedCoRun(workloadCfgs []trace.Config, totalLLC cache.Config, totalBan
 		}
 		agents[i] = st
 		agents[i].stepper = stepper
-		// Warm both cache levels with this agent's working set.
+		// Warm the private L1 with this agent's working set.
+		start := len(warm)
 		for _, addr := range gen.WarmupAddrs() {
-			l1.Access(addr+st.offset, false)
-			llc.Access(addr+st.offset, false)
+			warm = append(warm, addr+st.offset)
 		}
-		l1.ResetStats()
+		l1.Warm(warm[start:])
 	}
-	llc.ResetStats()
-	mc.ResetStats()
+	// The shared LLC saw the agents' warm-up passes one after another.
+	llc.Warm(warm)
 
 	// Interleave by global time: always step the agent whose core clock is
 	// furthest behind, so shared-resource accesses arrive in approximate
